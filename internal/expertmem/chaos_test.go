@@ -155,4 +155,22 @@ func TestWarmChargedPaysMasterHops(t *testing.T) {
 	if !m.Resident(0, 0, 0) || !m.Resident(1, 0, 2) {
 		t.Fatal("charged warm did not preload")
 	}
+
+	// With every master copy in host DRAM the surcharge is zero and the
+	// preload matches Warm exactly.
+	a := New(testConfig(4, LRU()))
+	a.Warm(contiguousAssign())
+	b := New(testConfig(4, LRU()))
+	if got := b.WarmCharged(contiguousAssign(), 0); got != 0 {
+		t.Fatalf("unbounded host DRAM re-warm surcharge = %v, want 0", got)
+	}
+	for l := 0; l < 3; l++ {
+		for e := 0; e < 4; e++ {
+			for g := 0; g < 2; g++ {
+				if a.Resident(g, l, e) != b.Resident(g, l, e) {
+					t.Fatalf("charged warm diverged from Warm at gpu %d (%d,%d)", g, l, e)
+				}
+			}
+		}
+	}
 }
