@@ -78,7 +78,7 @@ type SystemOptions struct {
 // needed to profile, place and run.
 type System struct {
 	Model   *moe.Model
-	Router  moe.Router
+	Router  *synth.KernelRouter
 	Kernel  *synth.Kernel
 	Topo    *topo.Topology
 	Dataset *synth.DatasetProfile

@@ -42,12 +42,19 @@ type RNG struct {
 // following the reference initialization recommended by the xoshiro authors.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed re-initializes r from a single seed exactly as New does, so a hot
+// loop can keep its generator on the stack (var r RNG; r.Seed(s)) instead of
+// allocating one per draw.
+func (r *RNG) Seed(seed uint64) {
 	state := seed
 	r.s0 = splitMix64(&state)
 	r.s1 = splitMix64(&state)
 	r.s2 = splitMix64(&state)
 	r.s3 = splitMix64(&state)
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -147,6 +154,52 @@ func (r *RNG) Categorical(weights []float64) int {
 		}
 	}
 	return len(weights) - 1 // floating-point slack
+}
+
+// Cumulative writes the running sums of weights into dst (same length),
+// accumulated in index order exactly as Categorical accumulates them, and
+// panics on the weights Categorical panics on. dst is what CategoricalCum
+// takes, so a fixed distribution pays for validation and summation once.
+func Cumulative(dst, weights []float64) {
+	if len(dst) != len(weights) {
+		panic("rng: Cumulative length mismatch")
+	}
+	acc := 0.0
+	for i, w := range weights {
+		if w < 0 {
+			panic("rng: negative categorical weight")
+		}
+		acc += w
+		dst[i] = acc
+	}
+	if len(weights) == 0 || acc == 0 {
+		panic("rng: categorical with empty or zero-sum weights")
+	}
+}
+
+// CategoricalCum samples an index from running sums built by Cumulative. It
+// returns exactly the index Categorical returns for the underlying weights
+// from the same generator state: the total is the last running sum (the
+// same additions in the same order), u is the same Float64()*total, and a
+// binary search over the non-decreasing sums finds the first i with
+// u < cum[i], the index Categorical's linear scan stops at. When no sum
+// exceeds u, it returns the last index, Categorical's floating-point slack.
+func (r *RNG) CategoricalCum(cum []float64) int {
+	n := len(cum)
+	u := r.Float64() * cum[n-1]
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == n {
+		return n - 1 // floating-point slack
+	}
+	return lo
 }
 
 // Gamma returns a Gamma(shape, 1) variate using the Marsaglia-Tsang method.

@@ -197,6 +197,132 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
+func TestSeedMatchesNew(t *testing.T) {
+	var r RNG
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		r.Seed(seed)
+		want := New(seed)
+		for i := 0; i < 8; i++ {
+			if a, b := r.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: Seed gives %x, New gives %x", seed, i, a, b)
+			}
+		}
+	}
+}
+
+// TestPropertyCategoricalCumMatchesCategorical pins the bit-identity the
+// routing tables rest on: from the same generator state, CategoricalCum over
+// Cumulative(w) returns Categorical(w)'s index and consumes the same draws.
+// The weight vectors mix zero runs (leading, trailing, interior), length 1,
+// all-but-one zero, and magnitudes spread over many binades so running sums
+// round.
+func TestPropertyCategoricalCumMatchesCategorical(t *testing.T) {
+	gen := New(0xC0C0)
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + gen.Intn(40)
+		w := make([]float64, n)
+		switch trial % 4 {
+		case 0: // all but one zero
+			w[gen.Intn(n)] = gen.Float64() + 1e-3
+		case 1: // leading and trailing zero runs around a dense middle
+			lo, hi := gen.Intn(n), gen.Intn(n)
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			for i := lo; i <= hi; i++ {
+				w[i] = gen.Float64()
+			}
+			w[lo] += 1e-3
+		default: // scattered zeros, magnitudes across 2^-30..2^30
+			for i := range w {
+				if gen.Intn(3) > 0 {
+					w[i] = math.Ldexp(gen.Float64()+0.5, gen.Intn(61)-30)
+				}
+			}
+			w[gen.Intn(n)] += 1
+		}
+		cum := make([]float64, n)
+		Cumulative(cum, w)
+		for s := 0; s < 20; s++ {
+			seed := gen.Uint64()
+			a, b := New(seed), New(seed)
+			want, got := a.Categorical(w), b.CategoricalCum(cum)
+			if want != got {
+				t.Fatalf("weights %v seed %x: Categorical %d, CategoricalCum %d", w, seed, want, got)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("weights %v seed %x: generators diverged after the draw", w, seed)
+			}
+		}
+	}
+}
+
+// yielding returns a generator whose next Float64 is exactly f/2^53: the
+// xoshiro256** output depends only on s1, so s1 is solved for directly.
+func yielding(f uint64) *RNG {
+	inv := func(a uint64) uint64 { // inverse of odd a mod 2^64 (Newton)
+		x := a
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	y := (f << 11) * inv(9)
+	return &RNG{s0: 1, s1: rotl(y, 64-7) * inv(5), s2: 2, s3: 3}
+}
+
+// TestCategoricalCumBoundaries drives both samplers with u landing exactly
+// on running sums — where "<" against "<=" and zero-weight runs decide the
+// index — and on the floating-point slack. A normal total never produces
+// slack (Float64() < 1 rounds the product below the total), but a
+// subnormal total does: u rounds up to the total and both samplers fall
+// through to the last index, even a zero-weight one.
+func TestCategoricalCumBoundaries(t *testing.T) {
+	const one = uint64(1) << 53
+	tiny := math.SmallestNonzeroFloat64
+	cases := []struct {
+		w []float64
+		f uint64
+	}{
+		{[]float64{0, 0, 5}, 0},               // u = 0 before a leading zero run
+		{[]float64{1, 0, 1, 2}, one / 4},      // u = cum[0] = cum[1]
+		{[]float64{1, 0, 1, 2}, one / 2},      // u = cum[2]
+		{[]float64{1, 0, 1, 2, 0}, one/2 + 1}, // just past cum[2]
+		{[]float64{1, 2, 0}, one - 1},         // largest u, normal total
+		{[]float64{7}, one - 1},               // length 1
+		{[]float64{0, 0, 0, 0.5, 0, 0}, one / 3},
+		{[]float64{0, tiny, 0}, one - 1}, // slack onto a trailing zero
+	}
+	for _, c := range cases {
+		cum := make([]float64, len(c.w))
+		Cumulative(cum, c.w)
+		if yielding(c.f).Float64() != float64(c.f)/float64(one) {
+			t.Fatal("yielding does not control the next draw")
+		}
+		want, got := yielding(c.f).Categorical(c.w), yielding(c.f).CategoricalCum(cum)
+		if want != got {
+			t.Fatalf("weights %v u=%v·total: Categorical %d, CategoricalCum %d", c.w, float64(c.f)/float64(one), want, got)
+		}
+	}
+	if got := yielding(one - 1).CategoricalCum([]float64{0, tiny, tiny}); got != 2 {
+		t.Fatalf("slack draw returned %d, want the last index 2", got)
+	}
+}
+
+func TestCumulativePanicsLikeCategorical(t *testing.T) {
+	cases := [][]float64{nil, {}, {0, 0}, {-1, 2}}
+	for _, ws := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for weights %v", ws)
+				}
+			}()
+			Cumulative(make([]float64, len(ws)), ws)
+		}()
+	}
+}
+
 func TestDirichletSumsToOne(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		p := New(seed).Dirichlet(8, 0.5)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/synth"
 )
 
 // reportServerFixture builds a synthetic end-of-run server state of the given
@@ -75,5 +76,29 @@ func TestBuildReportAllocBudget(t *testing.T) {
 	const budget = 200
 	if allocs > budget {
 		t.Fatalf("buildReport allocates %.0f objects/run, budget %d — per-bucket scratch reuse regressed", allocs, budget)
+	}
+}
+
+// TestServeIterationAllocBudget pins the serve loop's per-iteration
+// allocations over a whole static run. Routing each token layer by layer
+// through Route allocated 1120 objects per iteration at this fixture (about
+// 48 per token: four per layer draw over 12 layers); filling paths through
+// the kernel's tables with PathInto leaves 8.1, the request, event and
+// series bookkeeping. The budget sits between the two so a reintroduced
+// per-token allocation (about 23 per iteration here) fails loudly.
+func TestServeIterationAllocBudget(t *testing.T) {
+	opts, _ := testSystem(t)
+	opts.Phases = []Phase{{Name: "steady", Duration: 2, Rate: nearKneeRate(opts, 0.8, 0.2, 0.5), Dataset: synth.Pile()}}
+	var rep *Report
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if rep, err = Run(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perIter := allocs / float64(rep.Iterations)
+	const budget = 16
+	if perIter > budget {
+		t.Fatalf("serve run allocates %.1f objects per iteration, budget %d — per-token routing allocation regressed", perIter, budget)
 	}
 }

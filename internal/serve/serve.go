@@ -21,7 +21,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/expertmem"
 	"repro/internal/fleet"
-	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/rng"
@@ -428,7 +427,7 @@ func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h 
 // server is the run state.
 type server struct {
 	opts     Options
-	routers  []moe.Router // per phase
+	routers  []*synth.KernelRouter // per phase
 	replicas []*replica
 	window   *TraceWindow
 	ctrl     *controller
@@ -881,16 +880,10 @@ func (s *server) start(now float64, r *replica) {
 	}
 	same, node, cross := 0, 0, 0
 	for i, rq := range r.active {
-		router := s.routers[rq.phase]
 		id := s.opts.Phases[rq.phase].Dataset.TokenID(tokenOrdinalBase + s.ordinal)
 		s.ordinal++
 		path := s.paths[i]
-		prev := -1
-		for j := 0; j < layers; j++ {
-			experts := router.Route(j, id, prev, nil)
-			path[j] = experts[0]
-			prev = experts[0]
-		}
+		s.routers[rq.phase].PathInto(id, path)
 		s.window.Push(path)
 		at := rq.home
 		for j := 0; j < layers; j++ {

@@ -82,7 +82,8 @@ func (d *DatasetProfile) Validate() error {
 
 // TokenDomain deterministically assigns a domain to a token id.
 func (d *DatasetProfile) TokenDomain(tokenID uint64) int {
-	r := rng.New(rng.Mix64(d.seed, tokenID, 0xD0))
+	var r rng.RNG
+	r.Seed(rng.Mix64(d.seed, tokenID, 0xD0))
 	return r.Categorical(d.Mix)
 }
 

@@ -31,9 +31,14 @@ type Kernel struct {
 	Strength float64
 	Domains  int
 
-	initDist []float64     // layer-0 expert distribution
-	trans    [][][]float64 // [layer][from][to], layer in [0, Layers-2]
-	domPref  [][]float64   // [domain][expert] multiplicative tilt
+	trans [][][]float64 // [layer][from][to], layer in [0, Layers-2]
+
+	// rows holds every domain-tilted, normalized row a draw conditions on,
+	// flat, Experts entries each (see rowAt for the layout); cums holds
+	// their running sums for rng.CategoricalCum. Both are built once by
+	// NewKernel, so a draw allocates nothing and scans no row.
+	rows []float64
+	cums []float64
 }
 
 // KernelParams configures NewKernel.
@@ -94,10 +99,10 @@ func NewKernel(p KernelParams) *Kernel {
 	r := rng.New(rng.Mix64(p.Seed, 0x5E17))
 
 	uniform := 1.0 / float64(active)
-	k.initDist = make([]float64, p.Experts)
+	initDist := make([]float64, p.Experts) // layer-0 expert distribution
 	spikyInit := r.Dirichlet(active, 0.8)
 	for e := 0; e < active; e++ {
-		k.initDist[e] = 0.5*spikyInit[e] + 0.5*uniform
+		initDist[e] = 0.5*spikyInit[e] + 0.5*uniform
 	}
 
 	k.trans = make([][][]float64, p.Layers-1)
@@ -113,8 +118,8 @@ func NewKernel(p KernelParams) *Kernel {
 		}
 	}
 
-	k.domPref = make([][]float64, p.Domains)
-	for d := range k.domPref {
+	domPref := make([][]float64, p.Domains) // [domain][expert] multiplicative tilt
+	for d := range domPref {
 		pref := make([]float64, p.Experts)
 		draw := r.Dirichlet(active, 1.2)
 		for e := 0; e < active; e++ {
@@ -123,28 +128,77 @@ func NewKernel(p KernelParams) *Kernel {
 			// dominates.
 			pref[e] = 0.6 + 0.8*p.DomainTilt*float64(active)*draw[e]
 		}
-		k.domPref[d] = pref
+		domPref[d] = pref
+	}
+
+	n := p.Domains * (1 + (p.Layers-1)*p.Experts) * p.Experts
+	k.rows, k.cums = make([]float64, n), make([]float64, n)
+	for d, pref := range domPref {
+		k.tabulate(k.rowAt(0, 0, d), initDist, pref)
+		for l, rows := range k.trans {
+			for from, base := range rows {
+				k.tabulate(k.rowAt(l+1, from, d), base, pref)
+			}
+		}
 	}
 	return k
 }
 
-// tilted returns base element-wise multiplied by the domain preference,
-// normalized. base entries for inactive experts are zero and stay zero.
-func (k *Kernel) tilted(base []float64, domain int) []float64 {
-	pref := k.domPref[domain%k.Domains]
-	out := make([]float64, len(base))
+// rowAt returns the offset in rows and cums of the row a draw at layer reads
+// for a token of the given domain whose expert at layer-1 was from. Layer 0
+// has one row per domain (from is ignored); layer l >= 1 has Experts rows
+// per domain, domain innermost:
+//
+//	layer 0:  domain
+//	layer l:  Domains + ((l-1)*Experts + from)*Domains + domain
+//
+// each scaled by Experts.
+func (k *Kernel) rowAt(layer, from, domain int) int {
+	if domain < 0 {
+		panic(fmt.Sprintf("synth: negative domain %d", domain))
+	}
+	d := domain % k.Domains
+	if layer == 0 {
+		return d * k.Experts
+	}
+	return (k.Domains + ((layer-1)*k.Experts+from)*k.Domains + d) * k.Experts
+}
+
+// tabulate writes base element-wise multiplied by the domain preference,
+// normalized, at offset o of rows, and its running sums at o of cums. base
+// entries for inactive experts are zero and stay zero; a base with no mass
+// under the tilt is kept as is, and rng.Cumulative rejects it.
+func (k *Kernel) tabulate(o int, base, pref []float64) {
+	out := k.rows[o : o+k.Experts]
 	total := 0.0
 	for i, b := range base {
 		out[i] = b * pref[i]
 		total += out[i]
 	}
 	if total == 0 {
-		return base
+		copy(out, base)
+	} else {
+		for i := range out {
+			out[i] /= total
+		}
 	}
-	for i := range out {
-		out[i] /= total
-	}
-	return out
+	rng.Cumulative(k.cums[o:o+k.Experts], out)
+}
+
+// row returns the tilted, normalized distribution a draw at layer reads
+// (see rowAt); the caller must not modify it.
+func (k *Kernel) row(layer, from, domain int) []float64 {
+	o := k.rowAt(layer, from, domain)
+	return k.rows[o : o+k.Experts : o+k.Experts]
+}
+
+// draw samples the expert at layer from the stream of (kernel seed, tokenID,
+// layer), reading the tabulated row for (layer, from, domain).
+func (k *Kernel) draw(tokenID uint64, layer, from, domain int) int {
+	var r rng.RNG
+	r.Seed(rng.Mix64(k.Seed, tokenID, uint64(layer)))
+	o := k.rowAt(layer, from, domain)
+	return r.CategoricalCum(k.cums[o : o+k.Experts])
 }
 
 // First samples the layer-0 expert for a token. The draw is a pure function
@@ -152,8 +206,7 @@ func (k *Kernel) tilted(base []float64, domain int) []float64 {
 // the shared-gating-function invariant hold in the engine: any GPU asking
 // "where does token t go at layer 0" gets the same answer.
 func (k *Kernel) First(tokenID uint64, domain int) int {
-	r := rng.New(rng.Mix64(k.Seed, tokenID, 0))
-	return r.Categorical(k.tilted(k.initDist, domain))
+	return k.draw(tokenID, 0, 0, domain)
 }
 
 // Next samples the expert at layer given the expert chosen at layer-1.
@@ -166,18 +219,29 @@ func (k *Kernel) Next(tokenID uint64, layer, prev, domain int) int {
 	if prev < 0 || prev >= k.Experts {
 		panic(fmt.Sprintf("synth: invalid prev expert %d", prev))
 	}
-	r := rng.New(rng.Mix64(k.Seed, tokenID, uint64(layer)))
-	return r.Categorical(k.tilted(k.trans[layer-1][prev], domain))
+	return k.draw(tokenID, layer, prev, domain)
 }
 
 // Path returns the full per-layer expert path of a token.
 func (k *Kernel) Path(tokenID uint64, domain int) []int {
 	path := make([]int, k.Layers)
-	path[0] = k.First(tokenID, domain)
-	for l := 1; l < k.Layers; l++ {
-		path[l] = k.Next(tokenID, l, path[l-1], domain)
-	}
+	k.PathInto(tokenID, domain, path)
 	return path
+}
+
+// PathInto writes the token's per-layer expert path into path, whose length
+// must be Layers: path[0] is First and path[l] is Next from path[l-1]. It
+// allocates nothing.
+func (k *Kernel) PathInto(tokenID uint64, domain int, path []int) {
+	if len(path) != k.Layers {
+		panic(fmt.Sprintf("synth: path length %d, want %d", len(path), k.Layers))
+	}
+	e := k.draw(tokenID, 0, 0, domain)
+	path[0] = e
+	for l := 1; l < k.Layers; l++ {
+		e = k.draw(tokenID, l, e, domain)
+		path[l] = e
+	}
 }
 
 // Transition returns the ground-truth row P(.|from) between layer and

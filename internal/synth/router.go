@@ -30,9 +30,21 @@ func NewKernelRouter(k *Kernel, p *DatasetProfile, topK int) *KernelRouter {
 // Experts implements moe.Router.
 func (kr *KernelRouter) Experts() int { return kr.Kernel.Experts }
 
+// PathInto writes the token's primary expert at every layer into path (length
+// Kernel.Layers) — the experts chained Route calls return first — drawing
+// the token's domain once and allocating nothing.
+func (kr *KernelRouter) PathInto(tokenID uint64, path []int) {
+	kr.Kernel.PathInto(tokenID, kr.Profile.TokenDomain(tokenID), path)
+}
+
 // Route implements moe.Router.
 func (kr *KernelRouter) Route(layer int, tokenID uint64, prev int, h []float32) []int {
-	domain := kr.Profile.TokenDomain(tokenID)
+	return kr.route(layer, tokenID, prev, kr.Profile.TokenDomain(tokenID))
+}
+
+// route selects the token's experts at layer; a token at layer 0, or with no
+// previous expert, draws from the initial distribution.
+func (kr *KernelRouter) route(layer int, tokenID uint64, prev, domain int) []int {
 	var primary int
 	if layer == 0 || prev < 0 {
 		primary = kr.Kernel.First(tokenID, domain)
@@ -42,44 +54,54 @@ func (kr *KernelRouter) Route(layer int, tokenID uint64, prev int, h []float32) 
 	if kr.TopK == 1 {
 		return []int{primary}
 	}
-	secondary := kr.second(layer, tokenID, prev, domain, primary)
-	return []int{primary, secondary}
+	return []int{primary, kr.second(layer, tokenID, prev, domain, primary)}
 }
 
-// second draws a distinct secondary expert from the same conditional row.
-func (kr *KernelRouter) second(layer int, tokenID uint64, prev, domain, primary int) int {
-	var row []float64
+// row returns the tilted row route drew the primary expert from.
+func (kr *KernelRouter) row(layer, prev, domain int) []float64 {
 	if layer == 0 || prev < 0 {
-		row = kr.Kernel.tilted(kr.Kernel.initDist, domain)
-	} else {
-		row = kr.Kernel.tilted(kr.Kernel.trans[layer-1][prev], domain)
+		return kr.Kernel.row(0, 0, domain)
 	}
-	masked := append([]float64(nil), row...)
-	masked[primary] = 0
-	r := rng.New(rng.Mix64(kr.Kernel.Seed, tokenID, uint64(layer), 0x2ED))
+	return kr.Kernel.row(layer, prev, domain)
+}
+
+// second draws a distinct secondary expert from the same conditional row
+// with primary's weight treated as zero. The running sums skip primary in
+// place, which is bit-identical to summing a copy with a zero there.
+func (kr *KernelRouter) second(layer int, tokenID uint64, prev, domain, primary int) int {
+	row := kr.row(layer, prev, domain)
 	total := 0.0
-	for _, v := range masked {
-		total += v
+	for i, v := range row {
+		if i != primary {
+			total += v
+		}
 	}
 	if total == 0 {
 		// Degenerate row (probability mass entirely on primary): fall back
 		// to the next expert index, preserving determinism.
 		return (primary + 1) % kr.Kernel.Experts
 	}
-	return r.Categorical(masked)
+	var r rng.RNG
+	r.Seed(rng.Mix64(kr.Kernel.Seed, tokenID, uint64(layer), 0x2ED))
+	u := r.Float64() * total
+	acc := 0.0
+	for i, v := range row {
+		if i != primary {
+			acc += v
+		}
+		if u < acc {
+			return i
+		}
+	}
+	return len(row) - 1 // floating-point slack
 }
 
 // RouteWeighted implements moe.WeightedRouter: mixture weights proportional
 // to the kernel's conditional probabilities of the selected experts.
 func (kr *KernelRouter) RouteWeighted(layer int, tokenID uint64, prev int, h []float32) ([]int, []float64) {
-	experts := kr.Route(layer, tokenID, prev, h)
 	domain := kr.Profile.TokenDomain(tokenID)
-	var row []float64
-	if layer == 0 || prev < 0 {
-		row = kr.Kernel.tilted(kr.Kernel.initDist, domain)
-	} else {
-		row = kr.Kernel.tilted(kr.Kernel.trans[layer-1][prev], domain)
-	}
+	experts := kr.route(layer, tokenID, prev, domain)
+	row := kr.row(layer, prev, domain)
 	weights := make([]float64, len(experts))
 	total := 0.0
 	for i, e := range experts {

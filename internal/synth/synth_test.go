@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -102,7 +103,7 @@ func TestEmpiricalTransitionsMatchKernel(t *testing.T) {
 	// With a single domain the tilt is constant per row, so compare against
 	// the tilted row.
 	for from := 0; from < k.Experts; from++ {
-		row := k.tilted(k.Transition(0, from), 0)
+		row := k.row(1, from, 0)
 		total := 0.0
 		for _, c := range counts[from] {
 			total += c
@@ -238,6 +239,104 @@ func TestKernelRouterMatchesKernel(t *testing.T) {
 		next := kr.Route(1, tok, want, nil)
 		if next[0] != k.Next(tok, 1, want, dom) {
 			t.Fatal("layer-1 route mismatch")
+		}
+	}
+}
+
+// TestPathIntoMatchesChainedRoute pins the one-call path fill to the
+// per-layer API it replaces in the serve loop and trace collection: for
+// every token, PathInto writes the first expert of each chained Route call,
+// and Kernel.Path agrees with both.
+func TestPathIntoMatchesChainedRoute(t *testing.T) {
+	kernels := []KernelParams{
+		{Seed: 3, Layers: 5, Experts: 16, Strength: 0.8, ActiveExperts: 5},
+		{Seed: 4, Layers: 4, Experts: 8, Strength: 0.7, Domains: 1},
+		{Seed: 5, Layers: 6, Experts: 12, Strength: 0},
+		{Seed: 6, Layers: 6, Experts: 12, Strength: 1, DomainTilt: 8},
+		{Seed: 7, Layers: 1, Experts: 4, Strength: 0.5},
+	}
+	for _, kp := range kernels {
+		k := NewKernel(kp)
+		for _, topK := range []int{1, 2} {
+			for _, p := range []*DatasetProfile{Pile(), Yelp()} {
+				kr := NewKernelRouter(k, p, topK)
+				path := make([]int, k.Layers)
+				for i := uint64(0); i < 500; i++ {
+					id := p.TokenID(i)
+					kr.PathInto(id, path)
+					whole := k.Path(id, p.TokenDomain(id))
+					prev := -1
+					for j := 0; j < k.Layers; j++ {
+						e := kr.Route(j, id, prev, nil)[0]
+						if path[j] != e || whole[j] != e {
+							t.Fatalf("%+v top%d %s token %d layer %d: PathInto %d, Path %d, Route %d",
+								kp, topK, p.Name, i, j, path[j], whole[j], e)
+						}
+						prev = e
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestPathIntoRejectsWrongLength(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	k := testKernel(0.5)
+	k.PathInto(1, 0, make([]int, k.Layers-1))
+}
+
+// TestPathIntoAllocsNothing pins the table-driven draw: a whole token path
+// allocates 0 objects. Chained Route calls on the per-draw tilted-row path
+// this replaced allocated 24 objects per token on this 6-layer kernel, four
+// per layer: the domain draw's and the expert draw's generators, a tilted
+// copy of the row, and the result slice.
+func TestPathIntoAllocsNothing(t *testing.T) {
+	kr := NewKernelRouter(testKernel(0.8), Pile(), 1)
+	path := make([]int, kr.Kernel.Layers)
+	id := uint64(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		kr.PathInto(id, path)
+		id++
+	})
+	if allocs != 0 {
+		t.Fatalf("PathInto allocates %.1f objects per token, want 0", allocs)
+	}
+}
+
+// TestTablesMatchCategoricalOverRows checks the tables against the rows they
+// tabulate: every stored running sum is rng.Cumulative of its stored row,
+// and each draw equals a fresh rng.Categorical over that row.
+func TestTablesMatchCategoricalOverRows(t *testing.T) {
+	k := NewKernel(KernelParams{Seed: 11, Layers: 4, Experts: 8, Strength: 0.9, Domains: 3, ActiveExperts: 6})
+	cum := make([]float64, k.Experts)
+	for d := 0; d < k.Domains; d++ {
+		for l := 0; l < k.Layers; l++ {
+			for from := 0; from < k.Experts; from++ {
+				row := k.row(l, from, d)
+				rng.Cumulative(cum, row)
+				o := k.rowAt(l, from, d)
+				for i, c := range k.cums[o : o+k.Experts] {
+					if c != cum[i] {
+						t.Fatalf("cum (%d,%d,%d)[%d] = %v, want %v", l, from, d, i, c, cum[i])
+					}
+				}
+				for tok := uint64(0); tok < 50; tok++ {
+					var got int
+					if l == 0 {
+						got = k.First(tok, d)
+					} else {
+						got = k.Next(tok, l, from, d)
+					}
+					if want := rng.New(rng.Mix64(k.Seed, tok, uint64(l))).Categorical(row); got != want {
+						t.Fatalf("draw (%d,%d,%d) token %d: %d, want %d", l, from, d, tok, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ package trace
 import (
 	"fmt"
 
-	"repro/internal/moe"
 	"repro/internal/rng"
 )
 
@@ -127,19 +126,22 @@ func (t *Trace) LayerLoad(j int) []float64 {
 	return load
 }
 
-// Collect routes `tokens` token ids through a router and records the primary
-// expert path of each. ids[i] must be globally unique token identities;
-// prev expert state is threaded across layers exactly as the engine does it.
-func Collect(router moe.Router, layers int, ids []uint64) *Trace {
+// PathFiller fills a token's whole primary-expert path at once (what chained
+// moe.Router.Route calls return first at each layer); synth.KernelRouter is
+// one.
+type PathFiller interface {
+	Experts() int
+	PathInto(tokenID uint64, path []int)
+}
+
+// Collect fills the primary expert path of each token id through router and
+// records it. ids[i] must be globally unique token identities. layers must
+// equal the router's depth: Collect panics otherwise.
+func Collect(router PathFiller, layers int, ids []uint64) *Trace {
 	t := New(layers, router.Experts())
 	path := make([]int, layers)
 	for _, id := range ids {
-		prev := -1
-		for j := 0; j < layers; j++ {
-			experts := router.Route(j, id, prev, nil)
-			path[j] = experts[0]
-			prev = experts[0]
-		}
+		router.PathInto(id, path)
 		t.Append(path)
 	}
 	return t
